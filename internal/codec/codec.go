@@ -45,8 +45,10 @@ type Codec interface {
 	// extended slice. rawLen is the expected decoded size (from the
 	// frame header): implementations must fail rather than produce more
 	// than rawLen bytes, so a corrupt or adversarial payload cannot
-	// balloon memory, and may use it to size buffers. Decode must not
-	// retain src.
+	// balloon memory. rawLen is untrusted, so it may size buffers only
+	// once checked against what src can decode to. A malformed src
+	// fails with an error wrapping ErrCorrupt. Decode must not retain
+	// src.
 	Decode(dst, src []byte, rawLen int64) ([]byte, error)
 }
 

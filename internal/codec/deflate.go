@@ -5,15 +5,21 @@ import (
 	"compress/flate"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 )
 
-// deflateCodec compresses chunks with stdlib DEFLATE. Encoder and decoder
-// state is pooled: flate allocates ~64 KB of window per writer, far too
-// much to rebuild for every 4 MB chunk crossing the IO workers.
+// deflateCodec compresses chunks with stdlib DEFLATE at flate.BestSpeed:
+// an IO worker's encode sits on the checkpoint's critical path, and on
+// checkpoint-like pages the default level encoded ~3x slower for ~2%
+// more ratio (DESIGN.md, "DEFLATE at BestSpeed"). Every level inflates
+// the same way, so containers written at any level stay readable.
+// Encoder and decoder state is pooled: flate allocates ~64 KB of window
+// per writer, far too much to rebuild for every 4 MB chunk crossing the
+// IO workers.
 type deflateCodec struct {
 	writers sync.Pool // *flate.Writer
-	readers sync.Pool // io.ReadCloser with flate.Resetter
+	readers sync.Pool // io.Reader with flate.Resetter
 }
 
 func newDeflate() *deflateCodec { return &deflateCodec{} }
@@ -49,7 +55,7 @@ func (c *deflateCodec) Encode(dst, src []byte) ([]byte, error) {
 		fw.Reset(sw)
 	} else {
 		var err error
-		fw, err = flate.NewWriter(sw, flate.DefaultCompression)
+		fw, err = flate.NewWriter(sw, flate.BestSpeed)
 		if err != nil {
 			return dst, fmt.Errorf("codec: deflate init: %w", err)
 		}
@@ -64,11 +70,21 @@ func (c *deflateCodec) Encode(dst, src []byte) ([]byte, error) {
 	return sw.b, nil
 }
 
+// maxInflate is DEFLATE's largest expansion per encoded byte: a 258-byte
+// match costs at least 2 bits (one length code, one distance code).
+const maxInflate = 1032
+
 func (c *deflateCodec) Decode(dst, src []byte, rawLen int64) ([]byte, error) {
+	// A header's RawLen is untrusted: reject a size the payload cannot
+	// inflate to before sizing anything by it, so a 40-byte frame that
+	// claims 4 GiB costs no allocation.
+	if rawLen > maxInflate*int64(len(src)) {
+		return dst, fmt.Errorf("%w: %d deflate bytes cannot inflate to declared size %d", ErrCorrupt, len(src), rawLen)
+	}
 	br := bytes.NewReader(src)
-	var fr io.ReadCloser
+	var fr io.Reader
 	if v := c.readers.Get(); v != nil {
-		fr = v.(io.ReadCloser)
+		fr = v.(io.Reader)
 		if err := fr.(flate.Resetter).Reset(br, nil); err != nil {
 			return dst, fmt.Errorf("codec: deflate reset: %w", err)
 		}
@@ -76,19 +92,20 @@ func (c *deflateCodec) Decode(dst, src []byte, rawLen int64) ([]byte, error) {
 		fr = flate.NewReader(br)
 	}
 	defer c.readers.Put(fr)
-	sw := &sliceWriter{b: dst}
-	// Read at most one byte past the declared size: a stream that keeps
-	// going is corrupt, and bounding it here stops a damaged frame from
-	// ballooning memory (deflate expands up to ~1032x).
-	n, err := io.Copy(sw, io.LimitReader(fr, rawLen+1))
-	if err != nil {
-		return dst, fmt.Errorf("codec: deflate decode: %w", err)
+	base := len(dst)
+	dst = slices.Grow(dst, int(rawLen))[:base+int(rawLen)]
+	// Inflate straight into dst, then require the stream to end exactly
+	// there: one byte past the declared size is corrupt. src is in
+	// memory, so every inflate error (flate.CorruptInputError, a stream
+	// that stops early) is a malformed payload.
+	if _, err := io.ReadFull(fr, dst[base:]); err != nil {
+		return dst[:base], fmt.Errorf("%w: deflate: %w", ErrCorrupt, err)
 	}
-	if n > rawLen {
-		return dst, fmt.Errorf("%w: deflate stream exceeds declared size %d", ErrCorrupt, rawLen)
+	var extra [1]byte
+	if n, err := io.ReadFull(fr, extra[:]); n > 0 {
+		return dst[:base], fmt.Errorf("%w: deflate stream exceeds declared size %d", ErrCorrupt, rawLen)
+	} else if err != io.EOF {
+		return dst[:base], fmt.Errorf("%w: deflate: %w", ErrCorrupt, err)
 	}
-	if err := fr.Close(); err != nil {
-		return dst, fmt.Errorf("codec: deflate close: %w", err)
-	}
-	return sw.b, nil
+	return dst, nil
 }

@@ -2,8 +2,11 @@ package codec
 
 import (
 	"bytes"
+	"compress/flate"
 	"encoding/hex"
 	"errors"
+	"io"
+	"runtime"
 	"testing"
 )
 
@@ -248,5 +251,115 @@ func TestDecodeBoundedByRawLen(t *testing.T) {
 	}
 	if _, err := Raw().Decode(nil, make([]byte, 100), 64); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("raw oversize payload: %v, want ErrCorrupt", err)
+	}
+}
+
+// TestDeflateDecodeErrorsAreCorrupt: every way a deflate payload can be
+// malformed surfaces as ErrCorrupt, so a read through a mount can tell
+// damage from an IO failure with errors.Is alone.
+func TestDeflateDecodeErrorsAreCorrupt(t *testing.T) {
+	src := compressible(64<<10, 3)
+	enc, err := Deflate().Encode(nil, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	short, err := Deflate().Encode(nil, src[:1000])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var corruptInput flate.CorruptInputError
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		rawLen  int
+		cause   func(error) bool
+	}{
+		{"truncated stream", enc[:len(enc)/2], len(src),
+			func(err error) bool { return errors.Is(err, io.ErrUnexpectedEOF) }},
+		{"reserved block type", []byte{0x07}, 16,
+			func(err error) bool { return errors.As(err, &corruptInput) }},
+		{"stream ends before declared size", short, len(src),
+			func(err error) bool { return errors.Is(err, io.ErrUnexpectedEOF) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := Header{Version: Version2, Codec: DeflateID, RawLen: uint32(tc.rawLen), EncLen: uint32(len(tc.payload))}
+			out, err := DecodeFrame(h, tc.payload, nil)
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("DecodeFrame: %v, want ErrCorrupt", err)
+			}
+			if !tc.cause(err) {
+				t.Fatalf("DecodeFrame: %v lost the inflate cause", err)
+			}
+			if len(out) != 0 {
+				t.Fatalf("failed decode returned %d bytes", len(out))
+			}
+		})
+	}
+}
+
+// lyingDeflateFrame is a v2 deflate frame whose header claims rawLen
+// bytes over a payload of under 100 bytes. At MaxPayload, sizing the
+// output by RawLen alone would turn it into a 4 GiB allocation.
+func lyingDeflateFrame(t testing.TB, rawLen uint32) []byte {
+	t.Helper()
+	enc, err := Deflate().Encode(nil, make([]byte, 64<<10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(enc) > 100 {
+		t.Fatalf("zero page deflated to %d bytes, want at most 100", len(enc))
+	}
+	frame := make([]byte, HeaderSize, HeaderSize+len(enc))
+	PutHeader(frame, Header{Version: Version2, Codec: DeflateID, RawLen: rawLen, EncLen: uint32(len(enc))})
+	return append(frame, enc...)
+}
+
+func TestDecodeFrameBoundedAllocation(t *testing.T) {
+	// The 64 MiB claim goes first, so a decoder that trusts RawLen fails
+	// here instead of attempting the 4 GiB allocation.
+	for _, rawLen := range []uint32{64 << 20, MaxPayload} {
+		frame := lyingDeflateFrame(t, rawLen)
+		h, err := ParseHeader(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decode := func() {
+			if _, err := DecodeFrame(h, frame[HeaderSize:], nil); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("RawLen %d: DecodeFrame: %v, want ErrCorrupt", rawLen, err)
+			}
+		}
+		decode() // warm the pooled inflater
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		decode()
+		runtime.ReadMemStats(&after)
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Fatalf("rejecting a %d-byte frame claiming %d bytes allocated %d bytes", len(frame), rawLen, alloc)
+		}
+	}
+}
+
+// TestDeflateDecodeAcceptsMaximalExpansion: the expansion bound that
+// rejects lying headers must never reject a real stream. All-zero input
+// at flate.BestCompression comes close to DEFLATE's 1032:1 ceiling.
+func TestDeflateDecodeAcceptsMaximalExpansion(t *testing.T) {
+	raw := make([]byte, 16<<20)
+	var enc bytes.Buffer
+	w, err := flate.NewWriter(&enc, flate.BestCompression)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write(raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if ratio := len(raw) / enc.Len(); ratio < 1000 {
+		t.Fatalf("zeros deflated only %d:1, the test needs a near-maximal stream", ratio)
+	}
+	out, err := Deflate().Decode(nil, enc.Bytes(), int64(len(raw)))
+	if err != nil || !bytes.Equal(out, raw) {
+		t.Fatalf("near-maximal expansion stream: err=%v, %d bytes", err, len(out))
 	}
 }

@@ -63,6 +63,8 @@ func FuzzFrameDecode(f *testing.F) {
 	v3 := bytes.Clone(frameBytesV(f, Raw(), Version2, 0, 0, []byte("x")))
 	v3[4] = 3
 	f.Add(v3)
+	// Header claims MaxPayload over a payload of under 100 bytes.
+	f.Add(lyingDeflateFrame(f, MaxPayload))
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		h, err := ParseHeader(b)
@@ -87,7 +89,13 @@ func FuzzFrameDecode(f *testing.F) {
 			if errors.Is(err, ErrChecksum) && h.Version < Version2 {
 				t.Fatal("checksum verdict on a frame that carries no checksum")
 			}
-			return // malformed payloads must error, and did
+			// Malformed payloads must error, and did. Under a registered
+			// codec the error is always ErrCorrupt: callers rely on it to
+			// tell a damaged frame from an IO failure.
+			if _, cerr := ByID(h.Codec); cerr == nil && !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("DecodeFrame: %v escapes ErrCorrupt", err)
+			}
+			return
 		}
 		if len(raw) != int(h.RawLen) {
 			t.Fatalf("DecodeFrame returned %d bytes, header says %d", len(raw), h.RawLen)

@@ -617,12 +617,7 @@ func (e *fileEntry) decodeFrame(fr codec.FrameInfo) ([]byte, error) {
 			return raw, nil
 		}
 	}
-	enc := make([]byte, fr.Header.EncLen)
-	if _, err := e.backendFile.ReadAt(enc, fr.Pos+codec.HeaderSize); err != nil {
-		return nil, fmt.Errorf("core: frame payload at %d: %w", fr.Pos, err)
-	}
-	raw, err := codec.DecodeFrame(fr.Header, enc, nil)
-	e.fs.stats.checksumResult(fr.Header.Version, err)
+	raw, err := e.fs.readFrame(e.backendFile, fr)
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", e.pathName(), err)
 	}

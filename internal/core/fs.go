@@ -37,7 +37,6 @@ type FS struct {
 	jobq       chan func()
 	jobMu      sync.RWMutex
 	jobsClosed bool
-	encBufs    sync.Pool // *[]byte frame encode scratch, one per in-flight encode
 
 	// bgStop/bgDone bracket the background compaction goroutine
 	// (Options.Compaction.Interval); nil when it is not running.
@@ -93,10 +92,6 @@ func Mount(backend vfs.FS, opts Options) (*FS, error) {
 	}
 	if fs.tracer == nil {
 		fs.tracer = obs.Default
-	}
-	fs.encBufs.New = func() any {
-		b := make([]byte, 0, opts.ChunkSize+codec.HeaderSize)
-		return &b
 	}
 	fs.statCache = make(map[string]statProbe)
 	fs.queue = make(chan *chunk, fs.pool.total)
@@ -234,13 +229,48 @@ func (fs *FS) writeChunk(c *chunk) {
 	}
 }
 
+// frameBufs recycles frame-sized scratch, *[]byte: the encode output of
+// writeFramed and the encoded payloads readFrame reads back. It is shared
+// by every mount in the process because a restart usually mounts fresh,
+// and a per-mount pool would strand each unmounted mount's buffers until
+// the GC drained them.
+var frameBufs sync.Pool
+
+// getFrameBuf returns a pooled buffer with capacity for at least n bytes.
+func getFrameBuf(n int) *[]byte {
+	bp, _ := frameBufs.Get().(*[]byte)
+	if bp == nil {
+		bp = new([]byte)
+	}
+	if cap(*bp) < n {
+		*bp = make([]byte, 0, n)
+	}
+	return bp
+}
+
+// readFrame reads one frame's encoded payload into a pooled buffer and
+// decodes it into a fresh slice, counting the checksum verdict.
+// DecodeFrame never retains its input, so the buffer goes straight back
+// to the pool.
+func (fs *FS) readFrame(bf backendHandle, fr codec.FrameInfo) ([]byte, error) {
+	bp := getFrameBuf(int(fr.Header.EncLen))
+	defer frameBufs.Put(bp)
+	enc := (*bp)[:fr.Header.EncLen]
+	if _, err := bf.ReadAt(enc, fr.Pos+codec.HeaderSize); err != nil {
+		return nil, fmt.Errorf("frame payload at %d: %w", fr.Pos, err)
+	}
+	raw, err := codec.DecodeFrame(fr.Header, enc, nil)
+	fs.stats.checksumResult(fr.Header.Version, err)
+	return raw, err
+}
+
 // writeFramed encodes one chunk as a frame and appends it to the entry's
 // container. Encoding happens outside any lock; only the append-offset
 // reservation and the index update are serialized, so workers overlap
 // compression with each other and with backend IO.
 func (fs *FS) writeFramed(e *fileEntry, c *chunk, parent obs.SpanContext) error {
-	bp := fs.encBufs.Get().(*[]byte)
-	defer fs.encBufs.Put(bp)
+	bp := getFrameBuf(int(fs.opts.ChunkSize) + codec.HeaderSize)
+	defer frameBufs.Put(bp)
 	fill := c.fill.Load()
 	var encSp obs.Span
 	if fs.tracer.Enabled() {

@@ -431,13 +431,7 @@ func (fs *FS) runPrefetch(j prefetchJob) {
 		return
 	}
 	if j.framed {
-		enc := make([]byte, j.fr.Header.EncLen)
-		if _, err := bf.ReadAt(enc, j.fr.Pos+codec.HeaderSize); err != nil {
-			pf.drop(j.key)
-			return
-		}
-		raw, err := codec.DecodeFrame(j.fr.Header, enc, nil)
-		fs.stats.checksumResult(j.fr.Header.Version, err)
+		raw, err := fs.readFrame(bf, j.fr)
 		if err != nil {
 			pf.drop(j.key)
 			return
