@@ -326,7 +326,9 @@ type session struct {
 	err     error
 }
 
-// frame is one routed response frame (payload already copied).
+// frame is one routed response frame. A data frame's payload is a
+// pooled buffer owned by the frame's receiver, which returns it with
+// server.PutPayload once consumed.
 type frame struct {
 	typ     uint8
 	payload []byte
@@ -350,7 +352,7 @@ func dialSession(addr string, cfg Config) (*session, error) {
 		nc.Close()
 		return nil, fmt.Errorf("client: hello: %w", err)
 	}
-	hdr, payload, err := server.ReadFrame(s.br, nil)
+	hdr, payload, err := server.ReadFrame(s.br)
 	if err != nil {
 		nc.Close()
 		return nil, fmt.Errorf("client: reading server hello: %w", err)
@@ -445,17 +447,15 @@ func (s *session) poison(err error) error {
 }
 
 // reader is the demux goroutine: it routes every incoming frame to the
-// request that owns it.
+// request that owns it, handing data payloads over by reference.
 func (s *session) reader() {
-	var buf []byte
 	for {
-		hdr, payload, err := s.readFrame(buf)
+		hdr, payload, err := s.readFrame()
 		if err != nil {
 			s.fail(fmt.Errorf("client: connection lost: %w", err))
 			s.nc.Close()
 			return
 		}
-		buf = payload[:0]
 		if hdr.ReqID == 0 {
 			// Connection-level error (protocol violation report): fatal.
 			s.fail(fmt.Errorf("client: server closed the session: %s", payload))
@@ -467,22 +467,25 @@ func (s *session) reader() {
 		s.mu.Unlock()
 		if ch == nil {
 			// A response for a request we already gave up on; drop it.
+			server.PutPayload(payload)
 			continue
 		}
 		select {
-		case ch <- frame{typ: hdr.Type, payload: append([]byte(nil), payload...)}:
+		case ch <- frame{typ: hdr.Type, payload: payload}:
 		case <-s.done:
+			server.PutPayload(payload)
 			return
 		}
 	}
 }
 
-// readFrame reads one frame under the optional IO deadline.
-func (s *session) readFrame(buf []byte) (server.Header, []byte, error) {
+// readFrame reads one frame, data payloads pooled, under the optional IO
+// deadline.
+func (s *session) readFrame() (server.Header, []byte, error) {
 	if s.ioTimeout > 0 {
 		s.nc.SetReadDeadline(time.Now().Add(s.ioTimeout))
 	}
-	return server.ReadFrame(s.br, buf)
+	return server.ReadFrame(s.br)
 }
 
 // begin registers a new request and sends its req frame.
@@ -498,7 +501,9 @@ func (s *session) begin(line string) (uint32, chan frame, error) {
 		s.nextID = 1
 	}
 	id := s.nextID
-	ch := make(chan frame, 16)
+	// Four DataChunk frames: a request buffers at most 1 MiB (one
+	// MaxFramePayload) before the demux reader blocks on it.
+	ch := make(chan frame, 4)
 	s.pending[id] = ch
 	s.mu.Unlock()
 	if err := s.writeFrame(server.FrameReq, id, []byte(line)); err != nil {
@@ -590,7 +595,8 @@ func (s *session) put(name string, r io.Reader, size int64, ctx obs.SpanContext)
 	if err != nil {
 		return false, err
 	}
-	buf := make([]byte, server.DataChunk)
+	buf := server.GetPayload()
+	defer server.PutPayload(buf)
 	var sent int64
 	for sent < size {
 		// An early error response (cap exceeded, draining, bad name) means
@@ -656,7 +662,10 @@ func (s *session) get(name string, w io.Writer, ctx obs.SpanContext) (int64, err
 		}
 		switch f.typ {
 		case server.FrameData:
+			// io.Writer must not retain f.payload, so it goes back to the
+			// pool as soon as Write returns.
 			wn, werr := w.Write(f.payload)
+			server.PutPayload(f.payload)
 			n += int64(wn)
 			if werr != nil {
 				// The sink failed; the server keeps streaming. Poison the
@@ -698,6 +707,7 @@ func (s *session) list() ([]string, error) {
 		switch f.typ {
 		case server.FrameData:
 			body.Write(f.payload)
+			server.PutPayload(f.payload)
 		case server.FrameEnd:
 			var count int
 			if _, err := fmt.Sscanf(string(f.payload), "OK %d", &count); err != nil {
@@ -747,6 +757,7 @@ func (s *session) traceDump(trace obs.TraceID) ([]obs.SpanRecord, error) {
 		switch f.typ {
 		case server.FrameData:
 			body.Write(f.payload)
+			server.PutPayload(f.payload)
 		case server.FrameEnd:
 			var count int
 			if _, err := fmt.Sscanf(string(f.payload), "OK %d", &count); err != nil {

@@ -20,7 +20,14 @@ import (
 
 func startServer(t *testing.T) string {
 	t.Helper()
-	fs, err := core.Mount(memfs.New(), core.Options{ChunkSize: 64 << 10, BufferPoolSize: 8 << 20})
+	return startServerWith(t, core.Options{ChunkSize: 64 << 10, BufferPoolSize: 8 << 20})
+}
+
+// startServerWith serves a fresh memfs-backed mount with opts on a
+// loopback port until the test ends.
+func startServerWith(t testing.TB, opts core.Options) string {
+	t.Helper()
+	fs, err := core.Mount(memfs.New(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

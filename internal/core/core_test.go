@@ -273,6 +273,56 @@ func TestSharedEntryRefcount(t *testing.T) {
 	}
 }
 
+// TestOpenRacingLastClose is the regression test for the shared-entry
+// revival race: with the last close decided under the entry lock alone,
+// an Open could take a reference on an entry whose refcount had just hit
+// zero and read through the backend handle that close then shut
+// ("file already closed"). Every open/read/close cycle must succeed.
+func TestOpenRacingLastClose(t *testing.T) {
+	back := memfs.New()
+	fs := mount(t, back, Options{ChunkSize: 64})
+	want := []byte("shared checkpoint bytes")
+	if err := vfs.WriteFile(fs, "x", want); err != nil {
+		t.Fatal(err)
+	}
+	const workers, iters = 8, 3000
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			buf := make([]byte, len(want))
+			for i := 0; i < iters; i++ {
+				f, err := fs.Open("x", vfs.ReadOnly)
+				if err != nil {
+					errs <- fmt.Errorf("open %d: %w", i, err)
+					return
+				}
+				n, rerr := f.ReadAt(buf, 0)
+				cerr := f.Close()
+				if rerr != nil && !errors.Is(rerr, io.EOF) {
+					errs <- fmt.Errorf("read %d: %w", i, rerr)
+					return
+				}
+				if cerr != nil {
+					errs <- fmt.Errorf("close %d: %w", i, cerr)
+					return
+				}
+				if !bytes.Equal(buf[:n], want) {
+					errs <- fmt.Errorf("read %d: got %q", i, buf[:n])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
 func TestWriteOnReadOnlyHandle(t *testing.T) {
 	back := memfs.New()
 	vfs.WriteFile(back, "f", []byte("x"))

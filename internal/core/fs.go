@@ -390,6 +390,8 @@ func (fs *FS) Open(name string, flag vfs.OpenFlag) (vfs.File, error) {
 	if entry, ok := fs.files[key]; ok {
 		// File already open: share the entry (§IV-A "If the file is
 		// already opened, the reference counter ... is incremented").
+		// A table entry always holds a reference: releaseEntry evicts it
+		// under fs.mu in the step that drops the last one.
 		if trunc {
 			fs.mu.Unlock()
 			return nil, fmt.Errorf("core: open %s: truncate of file with active writers unsupported: %w", key, vfs.ErrInvalid)
@@ -663,26 +665,28 @@ func probeContainer(r backendHandle, size int64) (containerProbe, error) {
 }
 
 // releaseEntry decrements the entry's refcount and, on the last close,
-// removes it from the table and closes the backend handle. The delete is
-// guarded by identity: a Remove may have evicted the entry already, and a
-// later Open may have installed a fresh entry under the same path — that
-// entry must not be torn down by this close.
+// removes it from the table and closes the backend handle. The last close
+// is decided under fs.mu, the lock every table sharer (Open, pinEntry,
+// Remove's re-install) holds while it takes a reference: deciding it
+// under entry.mu alone let an Open share an entry whose refcount had just
+// reached zero and whose backend handle this close was about to shut.
+// The delete is guarded by identity: a Remove may have evicted the entry
+// already, and a later Open may have installed a fresh entry under the
+// same path — that entry must not be torn down by this close.
 func (fs *FS) releaseEntry(entry *fileEntry) error {
+	fs.mu.Lock()
 	entry.mu.Lock()
 	entry.refs--
 	last := entry.refs == 0
-	entry.mu.Unlock()
-	if !last {
-		return nil
-	}
-	fs.mu.Lock()
-	entry.mu.Lock()
 	name := entry.name
-	if fs.files[name] == entry {
+	if last && fs.files[name] == entry {
 		delete(fs.files, name)
 	}
 	entry.mu.Unlock()
 	fs.mu.Unlock()
+	if !last {
+		return nil
+	}
 	if entry.pf != nil {
 		// Return the read-ahead cache's pool chunks before the backend
 		// handle goes away; in-flight jobs die on the generation bump.

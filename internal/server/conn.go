@@ -49,10 +49,13 @@ type srvConn struct {
 
 // outFrame is one queued frame toward the client. last marks the
 // graceful-close sentinel: flush everything written so far, then close.
+// pooled hands payload's ownership to the writer, which returns it to
+// the payload pool once the frame is written.
 type outFrame struct {
 	typ     uint8
 	reqID   uint32
 	payload []byte
+	pooled  bool
 	last    bool
 }
 
@@ -64,7 +67,8 @@ type inReq struct {
 	bodyDone   bool
 }
 
-// bodyItem is one routed body frame (or the end-of-body marker).
+// bodyItem is one routed body frame (or the end-of-body marker). data is
+// a pooled payload owned by whoever holds the item.
 type bodyItem struct {
 	data []byte
 	end  bool
@@ -182,7 +186,21 @@ func (c *srvConn) writer() {
 				c.close()
 				return
 			}
-			if err := WriteFrame(bw, f.typ, f.reqID, f.payload); err != nil {
+			var err error
+			if len(f.payload) > bw.Available() {
+				// A payload that would overflow the buffer goes straight to
+				// the socket behind whatever is buffered: one writev, no
+				// copy through bw.
+				if err = bw.Flush(); err == nil {
+					err = WriteFrame(c.nc, f.typ, f.reqID, f.payload)
+				}
+			} else {
+				err = WriteFrame(bw, f.typ, f.reqID, f.payload)
+			}
+			if f.pooled {
+				PutPayload(f.payload)
+			}
+			if err != nil {
 				c.close()
 				return
 			}
@@ -232,17 +250,15 @@ func (c *srvConn) serveV2() {
 	if !c.sendFrame(outFrame{typ: FrameHello, payload: []byte(hello)}) {
 		return
 	}
-	var buf []byte
 	for {
 		c.bumpReadDeadline()
-		hdr, payload, err := ReadFrame(c.br, buf)
+		hdr, payload, err := ReadFrame(c.br)
 		if err != nil {
 			if errors.Is(err, ErrProtocol) {
 				c.fatal(err.Error())
 			}
 			return
 		}
-		buf = payload[:0]
 		if !c.dispatch(hdr, payload) {
 			return
 		}
@@ -258,12 +274,14 @@ func (c *srvConn) fatal(msg string) {
 }
 
 // dispatch routes one incoming frame; false tears the connection down.
+// It owns a data frame's pooled payload and passes it on to routeBody.
 func (c *srvConn) dispatch(hdr Header, payload []byte) bool {
 	switch hdr.Type {
 	case FrameReq:
 		return c.handleReq(hdr.ReqID, string(payload))
 	case FrameData:
 		if len(payload) == 0 {
+			PutPayload(payload)
 			c.fatal("server: empty data frame")
 			return false
 		}
@@ -342,7 +360,9 @@ func (c *srvConn) handleReq(id uint32, line string) bool {
 
 // routeBody delivers a data/end frame to its request handler, applying
 // backpressure: a full body queue blocks the reader (and therefore the
-// TCP window) until the handler catches up.
+// TCP window) until the handler catches up. The pooled data payload
+// moves to the handler by reference; a frame that is not delivered
+// (drained, aborted, malformed) is returned to the pool here.
 func (c *srvConn) routeBody(id uint32, data []byte, end bool) bool {
 	c.mu.Lock()
 	r, ok := c.inFlight[id]
@@ -352,14 +372,17 @@ func (c *srvConn) routeBody(id uint32, data []byte, end bool) bool {
 				delete(c.rejected, id)
 			}
 			c.mu.Unlock()
+			PutPayload(data)
 			return true
 		}
 		c.mu.Unlock()
+		PutPayload(data)
 		c.fatal(fmt.Sprintf("server: body frame for unknown request %d", id))
 		return false
 	}
 	if !r.expectBody || r.bodyDone {
 		c.mu.Unlock()
+		PutPayload(data)
 		c.fatal(fmt.Sprintf("server: unexpected body frame for request %d", id))
 		return false
 	}
@@ -368,9 +391,8 @@ func (c *srvConn) routeBody(id uint32, data []byte, end bool) bool {
 		c.expectBody--
 	}
 	c.mu.Unlock()
-	item := bodyItem{end: end}
+	item := bodyItem{data: data, end: end}
 	if !end {
-		item.data = append([]byte(nil), data...)
 		c.srv.c.bytesIn.Add(int64(len(data)))
 	}
 	select {
@@ -379,8 +401,10 @@ func (c *srvConn) routeBody(id uint32, data []byte, end bool) bool {
 	case <-r.abort:
 		// The handler retired this request before the body finished;
 		// complete() registered the id for draining, so drop the frame.
+		PutPayload(data)
 		return true
 	case <-c.dead:
+		PutPayload(data)
 		return false
 	}
 }
@@ -565,14 +589,19 @@ func (c *srvConn) runGet(id uint32, name string, ctx obs.SpanContext) {
 		if size-off < want {
 			want = size - off
 		}
-		buf := make([]byte, want)
-		n, rerr := f.ReadAt(buf, off)
+		// Each frame reads into its own pooled buffer, which the writer
+		// returns once the frame is on the wire.
+		buf := GetPayload()
+		n, rerr := f.ReadAt(buf[:want], off)
 		if n > 0 {
-			if !c.sendFrame(outFrame{typ: FrameData, reqID: id, payload: buf[:n]}) {
+			if !c.sendFrame(outFrame{typ: FrameData, reqID: id, payload: buf[:n], pooled: true}) {
+				PutPayload(buf)
 				return
 			}
 			off += int64(n)
 			c.srv.c.bytesOut.Add(int64(n))
+		} else {
+			PutPayload(buf)
 		}
 		if rerr != nil && !errors.Is(rerr, io.EOF) {
 			c.complete(id, FrameErr, []byte(rerr.Error()))
@@ -607,7 +636,17 @@ func (c *srvConn) runPut(id uint32, req Request, r *inReq, ctx obs.SpanContext) 
 	n, err := c.srv.stagePut(req.Name, req.Size, src, ctx)
 	if err != nil {
 		c.complete(id, FrameErr, []byte(err.Error()))
-		return
+		// Frames queued before the abort are never consumed; return their
+		// buffers. One the reader delivers after this drain is left to the
+		// garbage collector.
+		for {
+			select {
+			case item := <-r.body:
+				PutPayload(item.data)
+			default:
+				return
+			}
+		}
 	}
 	c.complete(id, FrameEnd, []byte(fmt.Sprintf("OK %d", n)))
 }
@@ -639,17 +678,18 @@ func (c *srvConn) serveV1(line string) {
 			return
 		}
 		remaining := req.Size
-		buf := make([]byte, DataChunk)
 		src := func() ([]byte, error) {
 			if remaining == 0 {
 				return nil, io.EOF
 			}
-			want := int64(len(buf))
+			want := int64(DataChunk)
 			if remaining < want {
 				want = remaining
 			}
 			c.nc.SetReadDeadline(time.Now().Add(cfg.ReadTimeout))
+			buf := GetPayload()
 			if _, err := io.ReadFull(c.br, buf[:want]); err != nil {
+				PutPayload(buf)
 				return nil, fmt.Errorf("server: short PUT body: %w", err)
 			}
 			remaining -= want
@@ -682,7 +722,8 @@ func (c *srvConn) serveV1(line string) {
 		if _, err := fmt.Fprintf(c.nc, "OK %d\n", info.Size); err != nil {
 			return
 		}
-		buf := make([]byte, DataChunk)
+		buf := GetPayload()
+		defer PutPayload(buf)
 		var off int64
 		for off < info.Size {
 			want := int64(len(buf))
@@ -783,7 +824,9 @@ func (c *srvConn) serveV1(line string) {
 // stagePut streams a PUT body into a staging temp and renames it over
 // the target only after a clean close, so a failed or abandoned PUT
 // never leaves a partial file visible under the target name. src yields
-// successive body slices and io.EOF at the end of the stream.
+// successive pooled body slices and io.EOF at the end of the stream;
+// stagePut owns each slice it gets and returns it to the payload pool
+// once WriteAt has copied it into the mount's chunk pool.
 func (s *Server) stagePut(name string, size int64, src func() ([]byte, error), ctx obs.SpanContext) (int64, error) {
 	if dir, _ := vfs.Split(name); dir != "." {
 		if err := s.fs.MkdirAll(dir); err != nil {
@@ -821,12 +864,15 @@ func (s *Server) stagePut(name string, size int64, src func() ([]byte, error), c
 			return abort(err)
 		}
 		if off+int64(len(chunk)) > size {
+			PutPayload(chunk)
 			return abort(fmt.Errorf("server: PUT %s: body exceeds declared size %d: %w", name, size, ErrProtocol))
 		}
-		if _, werr := f.WriteAt(chunk, off); werr != nil {
+		_, werr := f.WriteAt(chunk, off)
+		off += int64(len(chunk))
+		PutPayload(chunk)
+		if werr != nil {
 			return abort(fmt.Errorf("server: PUT %s: %w", name, werr))
 		}
-		off += int64(len(chunk))
 	}
 	if off != size {
 		return abort(fmt.Errorf("server: PUT %s: short body: %d of %d bytes: %w", name, off, size, vfs.ErrInvalid))

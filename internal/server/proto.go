@@ -40,8 +40,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"strconv"
 	"strings"
+	"sync"
 	"unicode"
 
 	"crfs/internal/vfs"
@@ -78,9 +80,34 @@ const (
 	// across frames. The bound keeps per-request buffering small, so a
 	// connection's memory cost is capped no matter the declared sizes.
 	MaxFramePayload = 1 << 20
-	// DataChunk is the payload size senders use for body data frames.
-	DataChunk = 64 << 10
+	// DataChunk is the payload size senders use for body data frames,
+	// and the capacity of every pooled payload buffer. At 256 KiB a
+	// 4 MiB stripe chunk crosses the wire in 16 frames; receivers accept
+	// any data frame up to MaxFramePayload, so peers sending other sizes
+	// interoperate.
+	DataChunk = 256 << 10
 )
+
+// payloadPool recycles DataChunk-capacity data-frame payloads. It holds
+// array pointers, so neither Get nor Put allocates.
+var payloadPool = sync.Pool{New: func() any { return new([DataChunk]byte) }}
+
+// GetPayload returns a DataChunk-length buffer from the process-wide
+// payload pool. The caller is its only owner until it hands the buffer
+// on (to a channel, a queue, a writer goroutine) or returns it with
+// PutPayload once the bytes are consumed.
+func GetPayload() []byte { return payloadPool.Get().(*[DataChunk]byte)[:] }
+
+// PutPayload returns a buffer to the payload pool. The caller must hold
+// the only reference: nothing may read or write buf afterwards. Buffers
+// that did not come from the pool (any capacity other than DataChunk,
+// nil included) are left to the garbage collector.
+func PutPayload(buf []byte) {
+	if cap(buf) != DataChunk {
+		return
+	}
+	payloadPool.Put((*[DataChunk]byte)(buf[:DataChunk]))
+}
 
 // ErrProtocol reports a violation of the frame format itself (bad
 // header, oversized payload, data for an unknown request): the
@@ -122,10 +149,17 @@ func ParseFrameHeader(buf []byte) (Header, error) {
 	return h, nil
 }
 
-// WriteFrame writes one frame (header + payload) to w.
+// WriteFrame writes one frame (header + payload) to w. On a net.Conn
+// header and payload leave in one writev, so a data frame costs one
+// syscall and no copy.
 func WriteFrame(w io.Writer, typ uint8, reqID uint32, payload []byte) error {
 	var hdr [HeaderLen]byte
 	PutHeader(hdr[:], Header{Type: typ, ReqID: reqID, Len: uint32(len(payload))})
+	if nc, ok := w.(net.Conn); ok && len(payload) > 0 {
+		bufs := net.Buffers{hdr[:], payload}
+		_, err := bufs.WriteTo(nc)
+		return err
+	}
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
@@ -137,9 +171,13 @@ func WriteFrame(w io.Writer, typ uint8, reqID uint32, payload []byte) error {
 	return nil
 }
 
-// ReadFrame reads one frame from r, appending the payload to buf[:0]
-// (which is grown as needed) and returning the header and payload.
-func ReadFrame(r io.Reader, buf []byte) (Header, []byte, error) {
+// ReadFrame reads one frame from r. A data frame of at most DataChunk
+// bytes lands in a buffer from the payload pool, which the caller now
+// owns and returns with PutPayload once the bytes are consumed; any
+// other payload gets its own allocation, which PutPayload drops unless
+// its capacity happens to be DataChunk, so callers may hand back every
+// data payload alike.
+func ReadFrame(r io.Reader) (Header, []byte, error) {
 	var hdr [HeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return Header{}, nil, err
@@ -148,11 +186,14 @@ func ReadFrame(r io.Reader, buf []byte) (Header, []byte, error) {
 	if err != nil {
 		return h, nil, err
 	}
-	if cap(buf) < int(h.Len) {
+	var buf []byte
+	if h.Type == FrameData && h.Len <= DataChunk {
+		buf = GetPayload()[:h.Len]
+	} else {
 		buf = make([]byte, h.Len)
 	}
-	buf = buf[:h.Len]
 	if _, err := io.ReadFull(r, buf); err != nil {
+		PutPayload(buf)
 		return h, nil, fmt.Errorf("server: short frame payload: %w", err)
 	}
 	return h, buf, nil

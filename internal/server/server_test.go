@@ -57,7 +57,7 @@ func newEnv(t *testing.T, backend vfs.FS, cfg server.Config) *env {
 		t.Fatal(err)
 	}
 	nc.SetReadDeadline(time.Now().Add(10 * time.Second))
-	if _, _, err := server.ReadFrame(bufio.NewReader(nc), nil); err != nil {
+	if _, _, err := server.ReadFrame(bufio.NewReader(nc)); err != nil {
 		t.Fatalf("readiness hello: %v", err)
 	}
 	nc.Close()
@@ -123,7 +123,7 @@ func (r *rawConn) send(typ uint8, id uint32, payload []byte) {
 func (r *rawConn) recv() (server.Header, []byte) {
 	r.t.Helper()
 	r.nc.SetReadDeadline(time.Now().Add(10 * time.Second))
-	hdr, payload, err := server.ReadFrame(r.nc, nil)
+	hdr, payload, err := server.ReadFrame(r.nc)
 	if err != nil {
 		r.t.Fatalf("reading frame: %v", err)
 	}
@@ -136,7 +136,7 @@ func (r *rawConn) expectClosed() {
 	r.t.Helper()
 	r.nc.SetReadDeadline(time.Now().Add(10 * time.Second))
 	for {
-		_, _, err := server.ReadFrame(r.nc, nil)
+		_, _, err := server.ReadFrame(r.nc)
 		if err != nil {
 			if ne, ok := err.(net.Error); ok && ne.Timeout() {
 				r.t.Fatal("connection still open, want close")
@@ -379,7 +379,7 @@ func findStaging(t *testing.T, fs *core.FS, dir string) string {
 // short stream ends in a closed connection, not a silent truncation
 // passed off as success.
 func TestV1GetMidStreamFailure(t *testing.T) {
-	const size = 256 << 10
+	const size = 4 * server.DataChunk // four frames, so faults can land mid-stream
 	want := testPattern(size)
 	midStream := false
 	for failAfter := 0; failAfter <= 40; failAfter++ {
@@ -433,7 +433,7 @@ func v1GetWithReadFault(t *testing.T, failAfter int, content []byte) []byte {
 // the client either gets the full content or an error — and the sink
 // only ever holds a prefix of the real content.
 func TestV2GetMidStreamFailure(t *testing.T) {
-	const size = 256 << 10
+	const size = 4 * server.DataChunk // four frames, so faults can land mid-stream
 	want := testPattern(size)
 	midStream := false
 	for failAfter := 0; failAfter <= 40; failAfter++ {
@@ -503,10 +503,10 @@ func TestFailedPutPreservesPreviousVersion(t *testing.T) {
 func TestAbortedPutMidBodyDoesNotWedge(t *testing.T) {
 	e := newEnv(t, nil, server.Config{})
 	r := dialRaw(t, e.addr)
-	const size = 5*(64<<10) + 1000 // aborts on the sixth 64 KiB frame
+	const size = 5*server.DataChunk + 1000 // aborts on the sixth frame
 	r.send(server.FrameReq, 1, []byte(fmt.Sprintf("PUT wedge %d", size)))
 	for i := 0; i < 20; i++ {
-		r.send(server.FrameData, 1, make([]byte, 64<<10))
+		r.send(server.FrameData, 1, make([]byte, server.DataChunk))
 	}
 	hdr, payload := r.recv()
 	if hdr.Type != server.FrameErr || hdr.ReqID != 1 {
@@ -551,10 +551,10 @@ func TestInFlightCap(t *testing.T) {
 		t.Fatalf("over-cap request: type %#x id %d %q", hdr.Type, hdr.ReqID, payload)
 	}
 	// Finish request 1; the connection must still be healthy.
-	r.send(server.FrameData, 1, make([]byte, 64<<10))
-	body := make([]byte, 1<<20-64<<10)
-	for off := 0; off < len(body); off += 64 << 10 {
-		r.send(server.FrameData, 1, body[off:off+64<<10])
+	r.send(server.FrameData, 1, make([]byte, server.DataChunk))
+	body := make([]byte, 1<<20-server.DataChunk)
+	for off := 0; off < len(body); off += server.DataChunk {
+		r.send(server.FrameData, 1, body[off:off+server.DataChunk])
 	}
 	r.send(server.FrameEnd, 1, nil)
 	if hdr, _ := r.recv(); hdr.Type != server.FrameEnd || hdr.ReqID != 1 {
@@ -620,9 +620,9 @@ func TestAcceptErrorBackoff(t *testing.T) {
 func TestGracefulDrainFinishesInFlight(t *testing.T) {
 	e := newEnv(t, nil, server.Config{})
 	r := dialRaw(t, e.addr)
-	const size = 256 << 10
+	const size = 4 * server.DataChunk
 	r.send(server.FrameReq, 1, []byte(fmt.Sprintf("PUT drained %d", size)))
-	r.send(server.FrameData, 1, make([]byte, 64<<10))
+	r.send(server.FrameData, 1, make([]byte, server.DataChunk))
 	// Frames are processed in order: once the PING answers, the PUT is
 	// admitted and the drain must treat this connection as busy.
 	r.send(server.FrameReq, 99, []byte("PING"))
@@ -639,8 +639,8 @@ func TestGracefulDrainFinishesInFlight(t *testing.T) {
 	// Give the drain a moment to reach the connection, then finish the
 	// body: the in-flight PUT must complete, not be cut off.
 	time.Sleep(50 * time.Millisecond)
-	for off := 64 << 10; off < size; off += 64 << 10 {
-		r.send(server.FrameData, 1, make([]byte, 64<<10))
+	for off := server.DataChunk; off < size; off += server.DataChunk {
+		r.send(server.FrameData, 1, make([]byte, server.DataChunk))
 	}
 	r.send(server.FrameEnd, 1, nil)
 	hdr, payload := r.recv()
@@ -667,6 +667,8 @@ func TestDrainRefusesNewRequests(t *testing.T) {
 	r := dialRaw(t, e.addr)
 	// Keep the connection busy so the drain leaves it open, and confirm
 	// the PUT is admitted before shutting down (frames process in order).
+	// A 64 KiB body in one frame: the server accepts data frames of any
+	// size up to MaxFramePayload, not just DataChunk.
 	r.send(server.FrameReq, 1, []byte("PUT busy 65536"))
 	r.send(server.FrameReq, 99, []byte("PING"))
 	if hdr, _ := r.recv(); hdr.Type != server.FrameEnd || hdr.ReqID != 99 {
@@ -771,6 +773,157 @@ func TestConcurrentClientsSharedNames(t *testing.T) {
 	}
 	if st.PutsCommitted == 0 || st.GetsServed == 0 {
 		t.Errorf("no traffic recorded: %+v", st)
+	}
+}
+
+// doomedFS fails every backend write under doomed/, so a PUT there is
+// aborted by the write pipeline while PUTs elsewhere on the same mount
+// proceed.
+type doomedFS struct{ vfs.FS }
+
+func (d doomedFS) Open(name string, flag vfs.OpenFlag) (vfs.File, error) {
+	f, err := d.FS.Open(name, flag)
+	if err != nil || !strings.HasPrefix(name, "doomed/") {
+		return f, err
+	}
+	return doomedFile{f}, nil
+}
+
+type doomedFile struct{ vfs.File }
+
+func (doomedFile) WriteAt([]byte, int64) (int, error) { return 0, errors.New("disk full") }
+
+var errSinkFull = errors.New("sink full")
+
+// failingSink accepts limit bytes, checking each against want, then
+// fails every write with errSinkFull.
+type failingSink struct {
+	want  []byte
+	limit int
+	n     int
+}
+
+func (s *failingSink) Write(p []byte) (int, error) {
+	if s.n >= s.limit {
+		return 0, errSinkFull
+	}
+	if !bytes.Equal(p, s.want[s.n:s.n+len(p)]) {
+		return 0, fmt.Errorf("sink got wrong bytes at %d", s.n)
+	}
+	s.n += len(p)
+	return len(p), nil
+}
+
+// TestPayloadOwnershipUnderLoad: data-frame payloads come from one
+// process-wide pool and move between goroutines by reference, so a
+// buffer returned to the pool while still referenced would surface as
+// corrupt bytes in some other transfer. One client session runs
+// concurrent PUTs and GETs of distinct self-validating bodies alongside
+// the paths that hand buffers back early: a PUT refused at admission
+// (its body drained), a PUT aborted mid-body by a backend write error,
+// and GETs whose sink fails mid-stream. A failing sink tears its session
+// down by design, so those GETs run concurrently on sessions of their
+// own. Every successful GET must be byte-identical and the server must
+// see no protocol error.
+func TestPayloadOwnershipUnderLoad(t *testing.T) {
+	const (
+		workers  = 6
+		rounds   = 4
+		objSize  = 3*server.DataChunk + 1234 // whole frames and a short one
+		maxPut   = 2 << 20
+		bigSize  = 6 * server.DataChunk
+		sinkStop = 2*server.DataChunk + 1
+	)
+	e := newEnv(t, doomedFS{memfs.New()}, server.Config{MaxPutBytes: maxPut})
+	c := e.client(t)
+	big := versionedBody("big", 1, bigSize)
+	if err := c.Put("big", bytes.NewReader(big), bigSize); err != nil {
+		t.Fatal(err)
+	}
+
+	var wg sync.WaitGroup
+	errc := make(chan error, workers+3)
+	run := func(what string, fn func() error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := fn(); err != nil {
+				errc <- fmt.Errorf("%s: %w", what, err)
+			}
+		}()
+	}
+	for w := 0; w < workers; w++ {
+		run(fmt.Sprintf("worker %d", w), func() error {
+			for r := 0; r < rounds; r++ {
+				name := fmt.Sprintf("obj%d-%d", w, r)
+				body := versionedBody(name, r+1, objSize)
+				if err := c.Put(name, bytes.NewReader(body), objSize); err != nil {
+					return fmt.Errorf("PUT %s: %w", name, err)
+				}
+				var got bytes.Buffer
+				if _, err := c.Get(name, &got); err != nil {
+					return fmt.Errorf("GET %s: %w", name, err)
+				}
+				if !bytes.Equal(got.Bytes(), body) {
+					return fmt.Errorf("GET %s: %d bytes differ from the PUT body", name, got.Len())
+				}
+			}
+			return nil
+		})
+	}
+	run("over-cap PUT", func() error {
+		body := make([]byte, maxPut+server.DataChunk)
+		for r := 0; r < rounds; r++ {
+			err := c.Put("refused", bytes.NewReader(body), int64(len(body)))
+			var re *client.RemoteError
+			if !errors.As(err, &re) || !strings.Contains(re.Msg, "exceeds cap") {
+				return fmt.Errorf("got %v, want an exceeds-cap refusal", err)
+			}
+		}
+		return nil
+	})
+	run("doomed PUT", func() error {
+		for r := 0; r < rounds; r++ {
+			name := fmt.Sprintf("doomed/obj%d", r)
+			body := versionedBody(name, r+1, maxPut)
+			err := c.Put(name, bytes.NewReader(body), maxPut)
+			var re *client.RemoteError
+			if !errors.As(err, &re) {
+				return fmt.Errorf("PUT %s: got %v, want a backend write failure", name, err)
+			}
+		}
+		return nil
+	})
+	run("failing-sink GET", func() error {
+		for r := 0; r < rounds; r++ {
+			c2, err := client.Dial(e.addr, client.Config{IOTimeout: 30 * time.Second})
+			if err != nil {
+				return err
+			}
+			sink := &failingSink{want: big, limit: sinkStop}
+			n, err := c2.Get("big", sink)
+			c2.Close()
+			if err == nil || n >= bigSize {
+				return fmt.Errorf("GET into a failing sink: %d bytes, err %v", n, err)
+			}
+			if !errors.Is(err, errSinkFull) {
+				return fmt.Errorf("GET into a failing sink: %w", err)
+			}
+		}
+		return nil
+	})
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Error(err)
+	}
+
+	var got bytes.Buffer
+	if _, err := c.Get("big", &got); err != nil || !bytes.Equal(got.Bytes(), big) {
+		t.Errorf("GET big after the load: %d bytes, err %v", got.Len(), err)
+	}
+	if st := e.srv.Stats(); st.ProtocolErrors != 0 {
+		t.Errorf("ProtocolErrors = %d, want 0", st.ProtocolErrors)
 	}
 }
 

@@ -19,6 +19,10 @@ import (
 // listing. The production implementation is a crfsd daemon reached over
 // protocol v2 (ClientNode); tests use in-process nodes with fault
 // injection.
+//
+// Put must be done with r's bytes when it returns, and Get must not
+// write to w after it returns: the coordinator recycles chunk buffers as
+// soon as either call returns.
 type Node interface {
 	// ID is the node's stable identity; placement hashes it, so it must
 	// not change across reconnects (use the address, not the socket).

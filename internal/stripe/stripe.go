@@ -100,6 +100,11 @@ type Store struct {
 	draining map[string]bool
 	slots    map[string]chan struct{} // per-node in-flight caps
 
+	// chunks recycles ChunkSize buffers (*[]byte) between Put's body
+	// reads and restore fetches: a buffer has one owner at a time, who
+	// returns it once every node and the restore sink are done with it.
+	chunks sync.Pool
+
 	c storeCounters
 }
 
@@ -115,10 +120,34 @@ func New(cfg Config, nodes ...Node) *Store {
 	if s.tracer == nil {
 		s.tracer = obs.Default
 	}
+	size := s.cfg.ChunkSize
+	s.chunks.New = func() any {
+		b := make([]byte, size)
+		return &b
+	}
 	for _, n := range nodes {
 		s.Join(n)
 	}
 	return s
+}
+
+// getChunk returns an n-byte buffer, pooled when n fits ChunkSize (a
+// manifest written under a larger chunk size gets a fresh allocation).
+func (s *Store) getChunk(n int64) []byte {
+	if n > s.cfg.ChunkSize {
+		return make([]byte, n)
+	}
+	return (*s.chunks.Get().(*[]byte))[:n]
+}
+
+// putChunk returns a getChunk buffer to the pool; the caller must hold
+// the only reference. Buffers of another capacity are dropped.
+func (s *Store) putChunk(b []byte) {
+	if int64(cap(b)) != s.cfg.ChunkSize {
+		return
+	}
+	b = b[:cap(b)]
+	s.chunks.Put(&b)
 }
 
 // Stats snapshots the coordinator counters.
@@ -278,8 +307,9 @@ func (s *Store) PutTraced(name string, r io.Reader, size int64, parent obs.SpanC
 		if rem := size - int64(idx)*s.cfg.ChunkSize; rem < length {
 			length = rem
 		}
-		buf := make([]byte, length)
+		buf := s.getChunk(length)
 		if _, err := io.ReadFull(r, buf); err != nil {
+			s.putChunk(buf)
 			setErr(fmt.Errorf("stripe: PUT %s: reading body chunk %d: %w", name, idx, err))
 			break
 		}
@@ -296,6 +326,9 @@ func (s *Store) PutTraced(name string, r io.Reader, size int64, parent obs.SpanC
 		go func(idx int, buf []byte, chunk Chunk) {
 			defer wg.Done()
 			defer func() { <-window }()
+			// Nodes copy what they need before Put returns, so the buffer
+			// is free once every replica is written (or one failed).
+			defer s.putChunk(buf)
 			cname := ChunkName(name, idx)
 			for _, id := range chunk.Nodes {
 				node := all[id]
@@ -421,6 +454,7 @@ func (s *Store) GetTraced(name string, w io.Writer, parent obs.SpanContext) (int
 				select {
 				case results[idx] <- result{buf: buf, err: err}:
 				case <-done:
+					s.putChunk(buf)
 				}
 			}(idx)
 		}
@@ -433,6 +467,7 @@ func (s *Store) GetTraced(name string, w io.Writer, parent obs.SpanContext) (int
 			return n, res.err
 		}
 		wn, werr := w.Write(res.buf)
+		s.putChunk(res.buf)
 		n += int64(wn)
 		if werr != nil {
 			return n, fmt.Errorf("stripe: GET %s: writing chunk %d: %w", name, idx, werr)
@@ -446,11 +481,29 @@ func (s *Store) GetTraced(name string, w io.Writer, parent obs.SpanContext) (int
 	return n, nil
 }
 
+// chunkSink collects one replica's bytes into a fixed buffer. Bytes past
+// the buffer are counted, not kept, so a replica that returns more than
+// the manifest length fails the length check like any other mismatch.
+type chunkSink struct {
+	buf []byte
+	n   int64
+}
+
+func (w *chunkSink) Write(p []byte) (int, error) {
+	if w.n < int64(len(w.buf)) {
+		copy(w.buf[w.n:], p)
+	}
+	w.n += int64(len(p))
+	return len(p), nil
+}
+
 // fetchChunk returns fingerprint-verified bytes for chunk idx, trying
-// replicas in placement order.
+// replicas in placement order. The bytes are a getChunk buffer the caller
+// now owns and hands back with putChunk.
 func (s *Store) fetchChunk(all map[string]Node, m *Manifest, idx int, ctx obs.SpanContext) ([]byte, error) {
 	c := m.Chunks[idx]
 	cname := ChunkName(m.Object, idx)
+	sink := chunkSink{buf: s.getChunk(c.Length)}
 	var lastErr error
 	for tries, id := range c.Nodes {
 		node, ok := all[id]
@@ -465,10 +518,9 @@ func (s *Store) fetchChunk(all map[string]Node, m *Manifest, idx int, ctx obs.Sp
 			csp.Attr("node", id)
 			csp.AttrInt("bytes", c.Length)
 		}
-		var buf bytes.Buffer
-		buf.Grow(int(c.Length))
+		sink.n = 0
 		release := s.slot(id)
-		_, err := nodeGet(node, cname, &buf, csp.Context())
+		_, err := nodeGet(node, cname, &sink, csp.Context())
 		release()
 		csp.End()
 		if err != nil {
@@ -478,17 +530,18 @@ func (s *Store) fetchChunk(all map[string]Node, m *Manifest, idx int, ctx obs.Sp
 			}
 			continue
 		}
-		if int64(buf.Len()) != c.Length || codec.Checksum(buf.Bytes()) != c.CRC {
+		if sink.n != c.Length || codec.Checksum(sink.buf) != c.CRC {
 			s.c.checksumFailed.Add(1)
 			lastErr = fmt.Errorf("stripe: GET %s on %s: %d bytes, fingerprint mismatch: %w",
-				cname, id, buf.Len(), codec.ErrChecksum)
+				cname, id, sink.n, codec.ErrChecksum)
 			if tries < len(c.Nodes)-1 {
 				s.c.replicaFallbacks.Add(1)
 			}
 			continue
 		}
-		return buf.Bytes(), nil
+		return sink.buf, nil
 	}
+	s.putChunk(sink.buf)
 	return nil, fmt.Errorf("%w: %s: last error: %w", ErrChunkLost, cname, lastErr)
 }
 

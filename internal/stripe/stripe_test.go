@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -143,6 +144,38 @@ func TestGetSurvivesCorruptReplica(t *testing.T) {
 		t.Errorf("residual scrub not clean: %s", rep)
 	}
 	mustGet(t, s, "rotted", body)
+}
+
+// TestGetRejectsOverlongReplica: a replica that returns its chunk's
+// bytes followed by more is a fingerprint mismatch even though its
+// first Length bytes are right — the restore buffer holds exactly
+// Length bytes, so the extra bytes must fail the length check rather
+// than be cut off. With one good replica left the restore fails over;
+// with none it reports the chunk lost.
+func TestGetRejectsOverlongReplica(t *testing.T) {
+	s, nodes := memCluster(2, Config{ChunkSize: 4 << 10, Replicas: 2})
+	body := payload(41, 16<<10+100) // a short last chunk too
+	mustPut(t, s, "long", body)
+	lengthen := func(n *MemNode) {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		for name, data := range n.objects {
+			if _, _, kind := ParseObjectName(name); kind == KindChunk {
+				n.objects[name] = append(data, "trailing bytes"...)
+			}
+		}
+	}
+
+	lengthen(nodes[0])
+	mustGet(t, s, "long", body)
+	if s.Stats().ChecksumFailed == 0 {
+		t.Error("no overlong replica was rejected; node 0 was never a primary")
+	}
+
+	lengthen(nodes[1])
+	if _, err := s.Get("long", io.Discard); !errors.Is(err, ErrChunkLost) {
+		t.Fatalf("GET with every replica overlong: %v, want ErrChunkLost", err)
+	}
 }
 
 // TestScrubRepairsMissingReplicaAndManifest: wiping one node entirely

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"net"
+	"sort"
 	"testing"
 	"time"
 
@@ -58,8 +59,9 @@ func startTracedNode(t *testing.T) *tracedNode {
 
 // collectTrace merges the client tracer's ring with every daemon's
 // TRACE dump, filtered to one trace. Daemon request spans commit after
-// the response is sent, so the expected span set is polled briefly.
-func collectTrace(s *stripe.Store, ctr *obs.Tracer, trace obs.TraceID, want []string) []obs.SpanRecord {
+// the response is sent, so the expected span names and processes are
+// polled briefly.
+func collectTrace(s *stripe.Store, ctr *obs.Tracer, trace obs.TraceID, want []string, wantProcs map[string]bool) []obs.SpanRecord {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		var recs []obs.SpanRecord
@@ -70,12 +72,19 @@ func collectTrace(s *stripe.Store, ctr *obs.Tracer, trace obs.TraceID, want []st
 		}
 		recs = append(recs, s.TraceDumps(trace)...)
 		names := make(map[string]bool, len(recs))
+		procs := make(map[string]bool)
 		for _, r := range recs {
 			names[r.Name] = true
+			procs[r.Proc] = true
 		}
 		missing := false
 		for _, n := range want {
 			if !names[n] {
+				missing = true
+			}
+		}
+		for p := range wantProcs {
+			if !procs[p] {
 				missing = true
 			}
 		}
@@ -128,9 +137,27 @@ func TestTracePropagation(t *testing.T) {
 		t.Fatal("restored bytes differ from checkpoint")
 	}
 
-	checkTrace := func(op string, trace obs.TraceID, want []string) {
+	// Placement hashes the daemons' addresses, which are random ports, so
+	// the daemons each trace must reach are computed rather than assumed:
+	// a checkpoint writes every replica, a fault-free restore reads only
+	// each chunk's first replica.
+	ids := make([]string, len(daemons))
+	for i, d := range daemons {
+		ids[i] = d.addr
+	}
+	sort.Strings(ids)
+	putProcs, getProcs := make(map[string]bool), make(map[string]bool)
+	for idx := 0; idx < len(payload)/(64<<10); idx++ {
+		nodes := stripe.Place(ids, stripe.ChunkName("ckpt", idx), 2)
+		for _, id := range nodes {
+			putProcs["crfsd:"+id] = true
+		}
+		getProcs["crfsd:"+nodes[0]] = true
+	}
+
+	checkTrace := func(op string, trace obs.TraceID, want []string, wantProcs map[string]bool) {
 		t.Helper()
-		recs := collectTrace(s, ctr, trace, want)
+		recs := collectTrace(s, ctr, trace, want, wantProcs)
 		procs := make(map[string]bool)
 		names := make(map[string]bool)
 		for _, r := range recs {
@@ -148,25 +175,19 @@ func TestTracePropagation(t *testing.T) {
 		if !procs["client"] {
 			t.Errorf("%s: trace %x has no client spans", op, trace)
 		}
-		nd := 0
-		for _, d := range daemons {
-			if procs["crfsd:"+d.addr] {
-				nd++
+		for p := range wantProcs {
+			if !procs[p] {
+				t.Errorf("%s: trace %x misses daemon %s that served it (procs %v)", op, trace, p, keys(procs))
 			}
-		}
-		// 8 chunks x 2 replicas over 3 nodes: placement is deterministic
-		// for a fixed object name, and every node holds some replica.
-		if nd != len(daemons) {
-			t.Errorf("%s: trace %x covers %d of %d daemons (procs %v)", op, trace, nd, len(daemons), keys(procs))
 		}
 	}
 
 	checkTrace("put", putTrace, []string{
 		"client.put", "stripe.put", "stripe.chunk.put", "crfsd.PUT", "crfs.write", "crfs.chunk.write",
-	})
+	}, putProcs)
 	checkTrace("get", getTrace, []string{
 		"client.get", "stripe.get", "stripe.chunk.get", "crfsd.GET", "crfs.read",
-	})
+	}, getProcs)
 
 	// The merged records must render as one loadable chrome trace with a
 	// process lane per participant.
