@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -117,10 +118,11 @@ func serverBench(emit *emitter, addr string, nclients, ops int, objSize int64, p
 	return nil
 }
 
-// stallCheck verifies the daemon reaps a stalled client: it starts a v1
-// PUT, sends half the body, and goes silent. A healthy server hits its
-// read deadline and closes the connection well before timeout; a
-// regressed server pins the goroutine (and the staged PUT) forever.
+// stallCheck verifies the daemon reaps a stalled client: it opens a
+// session, starts a PUT, sends half the body as data frames, and goes
+// silent. A healthy server hits its read deadline and closes the
+// connection well before timeout; a regressed server pins the goroutine
+// (and the staged PUT) forever.
 func stallCheck(emit *emitter, addr string, timeout time.Duration) error {
 	var cleanup func() error
 	if addr == "inproc" {
@@ -138,16 +140,24 @@ func stallCheck(emit *emitter, addr string, timeout time.Duration) error {
 	defer nc.Close()
 	const size = 1 << 20
 	start := time.Now()
-	if _, err := fmt.Fprintf(nc, "PUT bench/stall %d\n", size); err != nil {
+	nc.SetWriteDeadline(start.Add(timeout))
+	if _, err := io.WriteString(nc, server.HelloLine); err != nil {
 		return err
 	}
-	if _, err := nc.Write(make([]byte, size/2)); err != nil {
+	if err := server.WriteFrame(nc, server.FrameReq, 1, []byte(fmt.Sprintf("PUT bench/stall %d", size))); err != nil {
 		return err
+	}
+	chunk := make([]byte, server.DataChunk)
+	for sent := 0; sent < size/2; sent += len(chunk) {
+		if err := server.WriteFrame(nc, server.FrameData, 1, chunk); err != nil {
+			return err
+		}
 	}
 	// Go silent mid-body and wait for the server to hang up on us: it
-	// writes an ERR response for the aborted PUT, then closes. Reading
-	// until error observes the close; only our own deadline expiring
-	// (a timeout error) means the server left the connection pinned.
+	// tears the session down, aborting the staged PUT. Reading until
+	// error drains the hello (and any err frame) and observes the close;
+	// only our own deadline expiring (a timeout error) means the server
+	// left the connection pinned.
 	nc.SetReadDeadline(time.Now().Add(timeout))
 	var rerr error
 	for rerr == nil {

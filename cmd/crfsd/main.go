@@ -7,9 +7,8 @@
 // internal/server): a persistent connection serves many concurrent
 // requests, PUT bodies stream straight into the CRFS write pipeline
 // under backpressure, and a failed or abandoned PUT never leaves a
-// partial file visible under the target name. The legacy one-shot v1
-// line protocol (PUT/GET/STAT/SCRUB lines, raw bodies) is still served
-// to old clients, with its wire-level error handling fixed.
+// partial file visible under the target name. A connection that does
+// not open with the protocol-v2 hello is closed unanswered.
 //
 // The daemon is shaped for heavy concurrent traffic: a global
 // connection cap, a per-connection in-flight request cap, read/write

@@ -192,8 +192,9 @@ func EncodeFrame(c Codec, seq uint64, off int64, src, dst []byte) ([]byte, Heade
 
 // EncodeFrameVersion is EncodeFrame with an explicit format version:
 // Version2 (the default) stamps the payload's CRC32-C into the header;
-// Version1 writes the legacy checksum-less layout, kept for measuring
-// the checksum overhead and for feeding readers that predate v2.
+// Version1 writes the legacy checksum-less layout. Only EncodeFrame
+// writes mount data; the Version1 path is the reference writer tests use
+// to build v1 containers for the v1 reader.
 func EncodeFrameVersion(c Codec, version uint8, seq uint64, off int64, src, dst []byte) ([]byte, Header, error) {
 	if version != Version1 && version != Version2 {
 		return dst, Header{}, fmt.Errorf("codec: cannot encode frame version %d", version)

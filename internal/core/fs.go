@@ -277,7 +277,7 @@ func (fs *FS) writeFramed(e *fileEntry, c *chunk, parent obs.SpanContext) error 
 		encSp = fs.tracer.StartChild("crfs.encode", parent)
 	}
 	encT0 := time.Now()
-	frame, hdr, err := codec.EncodeFrameVersion(fs.opts.Codec, uint8(fs.opts.FrameVersion), c.seq, c.start, c.buf[:fill], (*bp)[:0])
+	frame, hdr, err := codec.EncodeFrame(fs.opts.Codec, c.seq, c.start, c.buf[:fill], (*bp)[:0])
 	fs.hist.encode.Observe(int64(time.Since(encT0)))
 	if encSp.Active() {
 		encSp.AttrInt("raw", fill)
@@ -321,7 +321,7 @@ func (fs *FS) writeFramed(e *fileEntry, c *chunk, parent obs.SpanContext) error 
 		// anyway.
 		pad := make([]byte, codec.HeaderSize)
 		codec.PutHeader(pad, codec.Header{
-			Version: uint8(fs.opts.FrameVersion),
+			Version: codec.Version,
 			Codec:   codec.RawID, Seq: c.seq, Off: c.start,
 			RawLen: 0, EncLen: uint32(len(frame) - codec.HeaderSize),
 		})

@@ -16,8 +16,8 @@ import (
 	"crfs/internal/vfs"
 )
 
-// maxRequestLine bounds the first line of a connection (and every v1
-// request line): names are short, so anything longer is garbage.
+// maxRequestLine bounds the first line of a connection, which must be
+// the hello: anything longer is garbage.
 const maxRequestLine = 4096
 
 // maxRejectedIDs bounds the set of request ids whose body frames are
@@ -25,7 +25,7 @@ const maxRequestLine = 4096
 // is abusing the protocol and the connection is dropped.
 const maxRejectedIDs = 64
 
-// srvConn is one served connection, either protocol version.
+// srvConn is one served connection.
 type srvConn struct {
 	srv *Server
 	nc  net.Conn
@@ -41,8 +41,7 @@ type srvConn struct {
 	expectBody  int // in-flight requests still owed body frames
 	pendingResp int // responses queued but not yet counted complete
 	draining    bool
-	v2          bool
-	v1busy      bool
+	helloDone   bool
 
 	handlers sync.WaitGroup
 }
@@ -59,7 +58,7 @@ type outFrame struct {
 	last    bool
 }
 
-// inReq is one in-flight v2 request's routing state.
+// inReq is one in-flight request's routing state.
 type inReq struct {
 	body       chan bodyItem
 	abort      chan struct{} // closed by complete(); unblocks a routeBody send after the handler quit
@@ -74,8 +73,9 @@ type bodyItem struct {
 	end  bool
 }
 
-// handleConn sniffs the protocol version from the first line and serves
-// the connection to completion.
+// handleConn reads the hello line and serves the connection to
+// completion. Any other first line is a protocol error: the connection
+// closes without a byte sent back.
 func (s *Server) handleConn(nc net.Conn) {
 	c := &srvConn{
 		srv:      s,
@@ -96,29 +96,15 @@ func (s *Server) handleConn(nc net.Conn) {
 
 	nc.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
 	line, err := readLine(c.br, maxRequestLine)
-	if err != nil {
+	if err == nil && strings.TrimRight(line, "\r\n") == strings.TrimRight(HelloLine, "\n") {
+		c.serve()
 		return
 	}
-	if strings.TrimRight(line, "\r\n") == strings.TrimRight(HelloLine, "\n") {
-		c.serveV2()
-		return
-	}
-	c.mu.Lock()
-	c.v1busy = true
-	dead := c.isDeadLocked()
-	c.mu.Unlock()
-	if dead {
-		return
-	}
-	c.serveV1(line)
-}
-
-func (c *srvConn) isDeadLocked() bool {
-	select {
-	case <-c.dead:
-		return true
-	default:
-		return false
+	// A peer that hangs up or stalls before finishing its first line sent
+	// nothing malformed; any other first line, overlong ones included, is
+	// a wire violation.
+	if err == nil || errors.Is(err, ErrProtocol) {
+		s.c.protocolErrors.Add(1)
 	}
 }
 
@@ -135,20 +121,19 @@ func (c *srvConn) close() {
 
 // beginDrain moves the connection into drain mode: in-flight requests
 // run to completion, new requests are refused, and the connection
-// closes once idle (immediately, if it already is).
+// closes once idle (immediately, if it already is). Before the hello no
+// writer runs to flush a graceful close, so the connection is torn down.
 func (c *srvConn) beginDrain() {
 	c.mu.Lock()
 	c.draining = true
-	v2 := c.v2
-	idle := (v2 && len(c.inFlight) == 0 && c.pendingResp == 0) || (!v2 && !c.v1busy)
+	helloDone := c.helloDone
+	idle := len(c.inFlight) == 0 && c.pendingResp == 0
 	c.mu.Unlock()
-	if !idle {
-		return
-	}
-	if v2 {
-		c.queueClose()
-	} else {
+	switch {
+	case !helloDone:
 		c.close()
+	case idle:
+		c.queueClose()
 	}
 }
 
@@ -233,13 +218,11 @@ func (c *srvConn) bumpReadDeadline() {
 	c.nc.SetReadDeadline(time.Now().Add(c.readWindow()))
 }
 
-// ---- protocol v2 ----
-
-// serveV2 runs the framed protocol: one reader (this goroutine), one
+// serve runs the framed protocol: one reader (this goroutine), one
 // writer, and a handler goroutine per in-flight request.
-func (c *srvConn) serveV2() {
+func (c *srvConn) serve() {
 	c.mu.Lock()
-	c.v2 = true
+	c.helloDone = true
 	c.mu.Unlock()
 	go c.writer()
 	// trace=1 advertises the TRACE verb and the optional trailing
@@ -451,7 +434,7 @@ func (c *srvConn) complete(id uint32, typ uint8, payload []byte) {
 	}
 }
 
-// run executes one v2 request. When tracing is on, the request gets a
+// run executes one request. When tracing is on, the request gets a
 // span joined to the client's trace (the propagated T= field), so one
 // striped restore stitches client and daemon timelines together.
 func (c *srvConn) run(id uint32, req Request, r *inReq) {
@@ -651,174 +634,6 @@ func (c *srvConn) runPut(id uint32, req Request, r *inReq, ctx obs.SpanContext) 
 	c.complete(id, FrameEnd, []byte(fmt.Sprintf("OK %d", n)))
 }
 
-// ---- protocol v1 (legacy one-shot) ----
-
-// serveV1 serves a single legacy request and closes. Two wire-level v1
-// bugs are fixed relative to the original daemon: a GET that fails
-// mid-stream (or comes up short of the promised size) closes the
-// connection instead of appending "ERR ..." after the "OK <size>"
-// header for the client to parse as file bytes, and a failed PUT
-// discards its staging temp instead of leaving a truncated file
-// committed under the target name.
-func (c *srvConn) serveV1(line string) {
-	c.srv.c.connsV1.Add(1)
-	defer c.close()
-	req, err := ParseRequest(line)
-	if err != nil {
-		fmt.Fprintf(c.nc, "ERR %v\n", err)
-		return
-	}
-	c.srv.c.requests.Add(1)
-	cfg := &c.srv.cfg
-	switch req.Verb {
-	case "PUT":
-		if cfg.MaxPutBytes > 0 && req.Size > cfg.MaxPutBytes {
-			c.srv.c.requestErrors.Add(1)
-			fmt.Fprintf(c.nc, "ERR server: PUT size %d exceeds cap %d\n", req.Size, cfg.MaxPutBytes)
-			return
-		}
-		remaining := req.Size
-		src := func() ([]byte, error) {
-			if remaining == 0 {
-				return nil, io.EOF
-			}
-			want := int64(DataChunk)
-			if remaining < want {
-				want = remaining
-			}
-			c.nc.SetReadDeadline(time.Now().Add(cfg.ReadTimeout))
-			buf := GetPayload()
-			if _, err := io.ReadFull(c.br, buf[:want]); err != nil {
-				PutPayload(buf)
-				return nil, fmt.Errorf("server: short PUT body: %w", err)
-			}
-			remaining -= want
-			c.srv.c.bytesIn.Add(want)
-			return buf[:want], nil
-		}
-		n, err := c.srv.stagePut(req.Name, req.Size, src, obs.SpanContext{})
-		c.nc.SetWriteDeadline(time.Now().Add(cfg.WriteTimeout))
-		if err != nil {
-			c.srv.c.requestErrors.Add(1)
-			fmt.Fprintf(c.nc, "ERR %v\n", err)
-			return
-		}
-		fmt.Fprintf(c.nc, "OK %d\n", n)
-	case "GET":
-		f, err := c.srv.fs.Open(req.Name, vfs.ReadOnly)
-		if err != nil {
-			c.srv.c.requestErrors.Add(1)
-			fmt.Fprintf(c.nc, "ERR %v\n", err)
-			return
-		}
-		defer f.Close()
-		info, err := f.Stat()
-		if err != nil {
-			c.srv.c.requestErrors.Add(1)
-			fmt.Fprintf(c.nc, "ERR %v\n", err)
-			return
-		}
-		c.nc.SetWriteDeadline(time.Now().Add(cfg.WriteTimeout))
-		if _, err := fmt.Fprintf(c.nc, "OK %d\n", info.Size); err != nil {
-			return
-		}
-		buf := GetPayload()
-		defer PutPayload(buf)
-		var off int64
-		for off < info.Size {
-			want := int64(len(buf))
-			if info.Size-off < want {
-				want = info.Size - off
-			}
-			n, rerr := f.ReadAt(buf[:want], off)
-			if n > 0 {
-				c.nc.SetWriteDeadline(time.Now().Add(cfg.WriteTimeout))
-				if _, werr := c.nc.Write(buf[:n]); werr != nil {
-					return
-				}
-				off += int64(n)
-				c.srv.c.bytesOut.Add(int64(n))
-			}
-			if rerr != nil && !errors.Is(rerr, io.EOF) {
-				// Mid-stream failure: the v1 framing has no way to signal
-				// an error after the OK header, so the only safe move is
-				// closing the connection short of the promised size.
-				c.srv.c.requestErrors.Add(1)
-				return
-			}
-			if n == 0 {
-				c.srv.c.requestErrors.Add(1)
-				return
-			}
-		}
-		c.srv.c.getsServed.Add(1)
-	case "LIST":
-		names, err := c.srv.ListNames()
-		c.nc.SetWriteDeadline(time.Now().Add(cfg.WriteTimeout))
-		if err != nil {
-			c.srv.c.requestErrors.Add(1)
-			fmt.Fprintf(c.nc, "ERR %v\n", err)
-			return
-		}
-		body := strings.Join(names, "\n")
-		if len(names) > 0 {
-			body += "\n"
-		}
-		if _, err := fmt.Fprintf(c.nc, "OK %d\n", len(body)); err != nil {
-			return
-		}
-		if _, err := io.WriteString(c.nc, body); err != nil {
-			return
-		}
-		c.srv.c.bytesOut.Add(int64(len(body)))
-	case "DEL":
-		err := c.srv.fs.Remove(req.Name)
-		c.nc.SetWriteDeadline(time.Now().Add(cfg.WriteTimeout))
-		if err != nil && !errors.Is(err, vfs.ErrNotExist) {
-			c.srv.c.requestErrors.Add(1)
-			fmt.Fprintf(c.nc, "ERR %v\n", err)
-			return
-		}
-		fmt.Fprintf(c.nc, "OK\n")
-	case "STAT":
-		c.nc.SetWriteDeadline(time.Now().Add(cfg.WriteTimeout))
-		fmt.Fprintf(c.nc, "%s\n", statLine(c.srv))
-	case "TRACE":
-		var recs []obs.SpanRecord
-		if req.Trace != 0 {
-			recs = c.srv.tracer.TraceSpans(obs.TraceID(req.Trace))
-		} else {
-			recs = c.srv.tracer.Snapshot()
-		}
-		body, err := obs.MarshalRecords(recs)
-		c.nc.SetWriteDeadline(time.Now().Add(cfg.WriteTimeout))
-		if err != nil {
-			c.srv.c.requestErrors.Add(1)
-			fmt.Fprintf(c.nc, "ERR %v\n", err)
-			return
-		}
-		if _, err := fmt.Fprintf(c.nc, "OK %d\n", len(body)); err != nil {
-			return
-		}
-		if _, err := c.nc.Write(body); err != nil {
-			return
-		}
-		c.srv.c.bytesOut.Add(int64(len(body)))
-	case "SCRUB":
-		line, err := scrubLine(c.srv.fs)
-		c.nc.SetWriteDeadline(time.Now().Add(cfg.WriteTimeout))
-		if err != nil {
-			c.srv.c.requestErrors.Add(1)
-			fmt.Fprintf(c.nc, "ERR %v\n", err)
-			return
-		}
-		fmt.Fprintf(c.nc, "%s\n", line)
-	case "PING":
-		c.nc.SetWriteDeadline(time.Now().Add(cfg.WriteTimeout))
-		fmt.Fprintf(c.nc, "OK\n")
-	}
-}
-
 // ---- shared request plumbing ----
 
 // stagePut streams a PUT body into a staging temp and renames it over
@@ -913,9 +728,9 @@ func (s *Server) commitStaged(temp, name string) error {
 	return fmt.Errorf("server: commit %s: %w", name, err)
 }
 
-// statLine renders the one-line STAT response (identical in both
-// protocol versions) from the same metrics registry that backs the
-// Prometheus exposition: the entries tagged WithStat in Metrics().
+// statLine renders the one-line STAT response from the same metrics
+// registry that backs the Prometheus exposition: the entries tagged
+// WithStat in Metrics().
 func statLine(s *Server) string {
 	return metrics.StatLine(s.Metrics())
 }

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
+	"net"
 	"testing"
+	"time"
 
 	"crfs/internal/server"
 )
@@ -46,6 +49,46 @@ func FuzzReadFrame(f *testing.F) {
 		}
 		if consumed := data[:server.HeaderLen+len(payload)]; !bytes.Equal(out.Bytes(), consumed) {
 			t.Fatalf("re-encoded frame % x, consumed % x", out.Bytes(), consumed)
+		}
+	})
+}
+
+// FuzzServeConn feeds arbitrary bytes to a served connection, the only
+// way input reaches the daemon: the hello line, then frames. Whatever the
+// bytes, the server must not panic, must close the connection once the
+// client has sent everything, and must leave no PUT staging temp behind.
+// The checked-in corpus (testdata/fuzz/FuzzServeConn) holds a valid
+// hello + PUT + end session, a bare line request without the hello, a
+// truncated frame header and a frame declaring a payload over the cap.
+func FuzzServeConn(f *testing.F) {
+	e := newEnv(f, nil, server.Config{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		nc, err := net.DialTimeout("tcp", e.addr, 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nc.Close()
+		nc.SetDeadline(time.Now().Add(10 * time.Second))
+		// The server may hang up before it has read every byte; a failed
+		// write is then expected.
+		nc.Write(data)
+		nc.(*net.TCPConn).CloseWrite()
+		if _, err := io.Copy(io.Discard, nc); err != nil {
+			if ne, ok := err.(net.Error); ok && ne.Timeout() {
+				t.Fatal("server left the connection open after the client finished")
+			}
+		}
+		// Handlers finish (and abort their staging temps) before the
+		// connection stops counting as active.
+		deadline := time.Now().Add(10 * time.Second)
+		for e.srv.Stats().ConnsActive != 0 {
+			if time.Now().After(deadline) {
+				t.Fatal("connection handler never finished")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if s := findStaging(t, e.fs, "."); s != "" {
+			t.Fatalf("staging temp %q survived the connection", s)
 		}
 	})
 }

@@ -1,11 +1,10 @@
 // Package server implements crfsd's network face: the protocol-v2
-// framed, multiplexed checkpoint transfer protocol and the legacy
-// protocol-v1 one-shot line protocol, served over persistent TCP
-// connections against a CRFS mount.
+// framed, multiplexed checkpoint transfer protocol, served over
+// persistent TCP connections against a CRFS mount.
 //
 // # Protocol v2
 //
-// A v2 session begins with the client hello line "CRFS/2\n". The server
+// A session begins with the client hello line "CRFS/2\n". The server
 // answers with a hello frame advertising its limits, and from then on
 // both directions carry binary frames:
 //
@@ -25,14 +24,12 @@
 // an end frame carrying "OK <bytes>". A GET answer is data frames
 // followed by an end frame "OK <bytes>"; a failure at any point — before
 // or after body bytes have been sent — is an err frame carrying the
-// error text, so error text can never be parsed as file bytes (the
-// protocol-v1 GET bug this format exists to fix). Requests on one
-// connection are handled concurrently up to the server's advertised
-// in-flight cap.
+// error text, so error text can never be parsed as file bytes. Requests
+// on one connection are handled concurrently up to the server's
+// advertised in-flight cap.
 //
-// Anything else on the first line is served as a protocol-v1 request
-// (one request per connection, line header, raw body) and the
-// connection is closed afterwards.
+// Any first line other than the hello is a protocol error: the server
+// closes the connection without sending a byte.
 package server
 
 import (
@@ -215,8 +212,8 @@ func TraceField(id uint64) string {
 	return fmt.Sprintf("T=%016x", id)
 }
 
-// ParseRequest parses and validates a verb line (shared by both
-// protocol versions; the v1 line arrives without a frame around it).
+// ParseRequest parses and validates a verb line, the payload of a req
+// frame.
 func ParseRequest(line string) (Request, error) {
 	fields := strings.Fields(strings.TrimSpace(line))
 	var req Request

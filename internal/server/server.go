@@ -18,18 +18,18 @@ import (
 // Config tunes a Server. The zero value selects production-shaped
 // defaults; tests shrink the timeouts.
 type Config struct {
-	// MaxConns caps concurrently served connections (v1 and v2). An
-	// accepted connection beyond the cap waits in the accept loop for a
-	// slot — backpressure, not rejection. Default 256.
+	// MaxConns caps concurrently served connections. An accepted
+	// connection beyond the cap waits in the accept loop for a slot —
+	// backpressure, not rejection. Default 256.
 	MaxConns int
-	// MaxInFlight caps concurrently handled requests per v2 connection;
+	// MaxInFlight caps concurrently handled requests per connection;
 	// the cap is advertised in the hello frame and a request beyond it
 	// is failed with an error frame. Default 8.
 	MaxInFlight int
 	// ReadTimeout bounds the wait for client bytes while a request body
-	// is being streamed (and for the first request line of a new
-	// connection). A stalled client hits it and the connection is torn
-	// down, aborting its staged PUTs. Default 1m.
+	// is being streamed (and for the hello line of a new connection). A
+	// stalled client hits it and the connection is torn down, aborting
+	// its staged PUTs. Default 1m.
 	ReadTimeout time.Duration
 	// WriteTimeout bounds each frame/segment write toward the client; a
 	// client that stops draining its GET hits it. Default 1m.
@@ -93,7 +93,6 @@ func (c Config) withDefaults() Config {
 type serverCounters struct {
 	connsAccepted  atomic.Int64
 	connsActive    atomic.Int64
-	connsV1        atomic.Int64
 	acceptRetries  atomic.Int64
 	requests       atomic.Int64
 	requestErrors  atomic.Int64
@@ -112,19 +111,18 @@ type serverCounters struct {
 // Stats is a point-in-time snapshot of server activity, the network
 // face of the mount's Stats tree.
 type Stats struct {
-	// ConnsAccepted counts accepted connections (both protocol versions).
+	// ConnsAccepted counts accepted connections.
 	ConnsAccepted int64
 	// ConnsActive is the number of connections currently being served.
 	ConnsActive int64
-	// ConnsV1 counts connections served with the legacy v1 protocol.
-	ConnsV1 int64
 	// AcceptRetries counts accept-loop errors survived with backoff.
 	AcceptRetries int64
-	// Requests counts requests started (any verb, any version).
+	// Requests counts requests started (any verb).
 	Requests int64
 	// RequestErrors counts requests that failed with an error response.
 	RequestErrors int64
-	// ProtocolErrors counts connections torn down for wire violations.
+	// ProtocolErrors counts connections torn down for wire violations,
+	// a first line other than the hello included.
 	ProtocolErrors int64
 	// InFlightCapped counts requests rejected by the per-client cap.
 	InFlightCapped int64
@@ -240,7 +238,6 @@ func (s *Server) Stats() Stats {
 	return Stats{
 		ConnsAccepted:  s.c.connsAccepted.Load(),
 		ConnsActive:    s.c.connsActive.Load(),
-		ConnsV1:        s.c.connsV1.Load(),
 		AcceptRetries:  s.c.acceptRetries.Load(),
 		Requests:       s.c.requests.Load(),
 		RequestErrors:  s.c.requestErrors.Load(),

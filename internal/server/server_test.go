@@ -29,7 +29,7 @@ type env struct {
 	done chan error
 }
 
-func newEnv(t *testing.T, backend vfs.FS, cfg server.Config) *env {
+func newEnv(t testing.TB, backend vfs.FS, cfg server.Config) *env {
 	t.Helper()
 	if backend == nil {
 		backend = memfs.New()
@@ -230,6 +230,81 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestNonHelloFirstLineRefused: crfsd speaks one protocol, so a first
+// line other than the hello (here, old one-shot line requests) is a
+// protocol error. The connection closes without a response byte, nothing
+// is counted as a request, and nothing reaches the store.
+func TestNonHelloFirstLineRefused(t *testing.T) {
+	e := newEnv(t, nil, server.Config{})
+	for _, tc := range []struct{ name, send string }{
+		{"get", "GET img\n"},
+		{"put with body", "PUT x 5\nhello"},
+		{"stat", "STAT\n"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := e.srv.Stats()
+			nc, err := net.DialTimeout("tcp", e.addr, 5*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer nc.Close()
+			nc.SetDeadline(time.Now().Add(10 * time.Second))
+			if _, err := io.WriteString(nc, tc.send); err != nil {
+				t.Fatal(err)
+			}
+			resp, err := io.ReadAll(nc)
+			if err != nil || len(resp) != 0 {
+				t.Fatalf("got %d response bytes %q, err %v; want a bare EOF", len(resp), resp, err)
+			}
+			after := e.srv.Stats()
+			if d := after.ProtocolErrors - before.ProtocolErrors; d != 1 {
+				t.Errorf("ProtocolErrors rose by %d, want 1", d)
+			}
+			if after.Requests != before.Requests {
+				t.Errorf("Requests moved %d -> %d", before.Requests, after.Requests)
+			}
+		})
+	}
+	for _, name := range []string{"img", "x"} {
+		if _, err := e.fs.Open(name, vfs.ReadOnly); !errors.Is(err, vfs.ErrNotExist) {
+			t.Errorf("%s: open = %v, want not-exist", name, err)
+		}
+	}
+	if s := findStaging(t, e.fs, "."); s != "" {
+		t.Errorf("staging temp %q left behind", s)
+	}
+}
+
+// TestDrainClosesPreHelloConnection: a connection that has not sent its
+// hello has nothing in flight, so a drain closes it at once instead of
+// waiting out the read deadline.
+func TestDrainClosesPreHelloConnection(t *testing.T) {
+	e := newEnv(t, nil, server.Config{})
+	nc, err := net.DialTimeout("tcp", e.addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	// The readiness connection from newEnv may still be counted: wait until
+	// only this one is.
+	deadline := time.Now().Add(5 * time.Second)
+	for e.srv.Stats().ConnsActive != 1 || e.srv.Stats().ConnsAccepted < 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("connection never became active: %+v", e.srv.Stats())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := e.srv.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if resp, err := io.ReadAll(nc); err != nil || len(resp) != 0 {
+		t.Fatalf("got %d bytes, err %v; want a bare EOF", len(resp), err)
+	}
+}
+
 func TestMalformedFramesCloseConnection(t *testing.T) {
 	e := newEnv(t, nil, server.Config{})
 	send := func(raw []byte) *rawConn {
@@ -312,18 +387,16 @@ func TestPartialPutDisconnectLeavesNothing(t *testing.T) {
 
 func TestStalledClientReaped(t *testing.T) {
 	e := newEnv(t, nil, server.Config{ReadTimeout: 200 * time.Millisecond})
-	nc, err := net.Dial("tcp", e.addr)
-	if err != nil {
-		t.Fatal(err)
+	r := dialRaw(t, e.addr)
+	// The client sends half the body, then stalls.
+	r.send(server.FrameReq, 1, []byte("PUT stalled 1048576"))
+	for sent := 0; sent < 1<<19; sent += server.DataChunk {
+		r.send(server.FrameData, 1, make([]byte, server.DataChunk))
 	}
-	defer nc.Close()
-	// Legacy v1 client stalls mid-body.
-	fmt.Fprintf(nc, "PUT stalled 1048576\n")
-	nc.Write(make([]byte, 1000))
-	nc.SetReadDeadline(time.Now().Add(10 * time.Second))
+	r.nc.SetReadDeadline(time.Now().Add(10 * time.Second))
 	var rerr error
 	for rerr == nil {
-		_, rerr = nc.Read(make([]byte, 256))
+		_, rerr = r.nc.Read(make([]byte, 256))
 	}
 	if ne, ok := rerr.(net.Error); ok && ne.Timeout() {
 		t.Fatal("server left the stalled connection pinned")
@@ -354,7 +427,7 @@ func waitForCleanStore(t *testing.T, e *env, name string) {
 	}
 }
 
-func findStaging(t *testing.T, fs *core.FS, dir string) string {
+func findStaging(t testing.TB, fs *core.FS, dir string) string {
 	t.Helper()
 	ents, err := fs.ReadDir(dir)
 	if err != nil {
@@ -373,64 +446,9 @@ func findStaging(t *testing.T, fs *core.FS, dir string) string {
 	return ""
 }
 
-// TestV1GetMidStreamFailure proves the v1 bugfix: whatever read the
-// injected fault lands on, the bytes after the "OK <size>" header are
-// always a prefix of the real content — never "ERR ..." text — and a
-// short stream ends in a closed connection, not a silent truncation
-// passed off as success.
-func TestV1GetMidStreamFailure(t *testing.T) {
-	const size = 4 * server.DataChunk // four frames, so faults can land mid-stream
-	want := testPattern(size)
-	midStream := false
-	for failAfter := 0; failAfter <= 40; failAfter++ {
-		resp := v1GetWithReadFault(t, failAfter, want)
-		header, rest, found := strings.Cut(string(resp), "\n")
-		if !found {
-			t.Fatalf("failAfter=%d: no header line in %d-byte response", failAfter, len(resp))
-		}
-		switch {
-		case strings.HasPrefix(header, "ERR "):
-			if rest != "" {
-				t.Fatalf("failAfter=%d: bytes after ERR line", failAfter)
-			}
-		case header == fmt.Sprintf("OK %d", size):
-			if !bytes.HasPrefix(want, []byte(rest)) {
-				t.Fatalf("failAfter=%d: body is not a content prefix (%d bytes): %.60q",
-					failAfter, len(rest), rest)
-			}
-			if len(rest) > 0 && len(rest) < size {
-				midStream = true
-			}
-		default:
-			t.Fatalf("failAfter=%d: unexpected header %q", failAfter, header)
-		}
-	}
-	if !midStream {
-		t.Fatal("no iteration produced a mid-stream failure; injection range too narrow")
-	}
-}
-
-// v1GetWithReadFault builds a fresh store whose backend fails every
-// read after the first failAfter, writes the pattern, and returns the
-// complete raw v1 GET response.
-func v1GetWithReadFault(t *testing.T, failAfter int, content []byte) []byte {
-	t.Helper()
-	backend := memfs.New(memfs.WithReadError(failAfter, errors.New("media gone bad")))
-	e := newEnv(t, backend, server.Config{})
-	writeThrough(t, e.fs, "img", content)
-	nc, err := net.Dial("tcp", e.addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	nc.SetDeadline(time.Now().Add(20 * time.Second))
-	fmt.Fprintf(nc, "GET img\n")
-	resp, _ := io.ReadAll(nc)
-	return resp
-}
-
-// TestV2GetMidStreamFailure is the same sweep over the framed protocol:
-// the client either gets the full content or an error — and the sink
+// TestV2GetMidStreamFailure sweeps a backend read fault across a GET:
+// whatever read the fault lands on, the client either gets the full
+// content or an error — never error text as body bytes — and the sink
 // only ever holds a prefix of the real content.
 func TestV2GetMidStreamFailure(t *testing.T) {
 	const size = 4 * server.DataChunk // four frames, so faults can land mid-stream
@@ -991,39 +1009,5 @@ func writeThrough(t *testing.T, fs *core.FS, name string, data []byte) {
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestV1Protocol exercises the legacy line protocol end to end.
-func TestV1Protocol(t *testing.T) {
-	e := newEnv(t, nil, server.Config{})
-	roundtrip := func(send string, body []byte) string {
-		t.Helper()
-		nc, err := net.Dial("tcp", e.addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer nc.Close()
-		nc.SetDeadline(time.Now().Add(20 * time.Second))
-		io.WriteString(nc, send)
-		nc.Write(body)
-		resp, _ := io.ReadAll(nc)
-		return string(resp)
-	}
-	content := testPattern(100000)
-	if resp := roundtrip(fmt.Sprintf("PUT v1file %d\n", len(content)), content); resp != fmt.Sprintf("OK %d\n", len(content)) {
-		t.Fatalf("v1 PUT: %q", resp)
-	}
-	if resp := roundtrip("GET v1file\n", nil); resp != fmt.Sprintf("OK %d\n%s", len(content), content) {
-		t.Fatalf("v1 GET: %d bytes", len(resp))
-	}
-	if resp := roundtrip("STAT\n", nil); !strings.Contains(resp, "writes=") {
-		t.Fatalf("v1 STAT: %q", resp)
-	}
-	if resp := roundtrip("SCRUB\n", nil); !strings.HasPrefix(resp, "OK containers=") {
-		t.Fatalf("v1 SCRUB: %q", resp)
-	}
-	if resp := roundtrip("FROB x\n", nil); !strings.HasPrefix(resp, "ERR ") {
-		t.Fatalf("v1 unknown verb: %q", resp)
 	}
 }
